@@ -21,13 +21,20 @@ import numpy as np
 
 from ..core.placement import PlacementProblem
 from ..core.search import SearchTrace
-from ..nn import Adam, AdditiveAttention, BiLSTM, Linear, LSTMCell, Tensor, concat, no_grad
+from ..nn import Adam, AdditiveAttention, BiLSTM, Linear, LSTMCell, Tensor, concat, no_grad, stack
 from ..nn import functional as F
 from ..runtime.evaluator import PlacementEvaluator
 from ..sim.objectives import Objective
+from ..telemetry import traced
 from .base import AdaptivePolicy, make_evaluator, trace_from_values
 
-__all__ = ["RnnPlacer", "RnnPlacerResult", "RnnPlacerPolicy", "operator_embeddings"]
+__all__ = [
+    "RnnPlacer",
+    "RnnPlacerResult",
+    "RnnPlacerPolicy",
+    "choose_devices",
+    "operator_embeddings",
+]
 
 
 def operator_embeddings(problem: PlacementProblem) -> np.ndarray:
@@ -50,6 +57,26 @@ def operator_embeddings(problem: PlacementProblem) -> np.ndarray:
     feats = np.array(rows)
     scale = np.abs(feats).mean(axis=0)
     return feats / np.where(scale > 1e-12, scale, 1.0)
+
+
+def choose_devices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick of one device per row of ``probs`` (K, m).
+
+    Row ``i`` picks what ``Generator.choice(m, p=probs[i])`` picks when
+    its one uniform draw is ``uniforms[i]``: the same validation, the
+    same normalized cumulative sum, and ``cdf.searchsorted(u,
+    side="right")`` — computed as the count of ``cdf <= u``, which is
+    the same index because each row of ``cdf`` is non-decreasing.
+    """
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities are not finite")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(probs.sum(axis=-1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -89,6 +116,9 @@ class RnnPlacer:
         self.attention = AdditiveAttention(hidden, mem_dim, hidden, rng)
         self.head = Linear(hidden + mem_dim, m, rng)
         self.num_devices = m
+        self.masks = np.zeros((len(self.order), m), dtype=bool)
+        for op, feasible in enumerate(problem.feasible_sets):
+            self.masks[op, list(feasible)] = True
         params = (
             list(self.encoder.parameters())
             + list(self.decoder.parameters())
@@ -99,37 +129,50 @@ class RnnPlacer:
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample_placement(self, greedy: bool = False) -> tuple[tuple[int, ...], Tensor]:
-        """Decode one placement; returns (placement, total log-prob)."""
+    def sample_placement(
+        self, k: int = 1, greedy: bool = False
+    ) -> tuple[list[tuple[int, ...]], Tensor]:
+        """Decode ``k`` placements as one batch; returns (placements, (k,) log-probs).
+
+        One encoder pass and one memory projection serve all ``k`` rows,
+        and the decoder steps them together.  Sampling draws one
+        ``(k, T)`` block of uniforms up front: row ``i`` holds the draws
+        the ``i``-th of ``k`` successive single-row calls would make, and
+        every kernel is batch-invariant, so row ``i`` equals that call
+        bit for bit.  ``greedy`` takes each step's argmax and draws
+        nothing.
+        """
+        uniforms = None if greedy else self.rng.random((k, len(self.order)))
         memory = self.encoder(Tensor(self.features[self.order]))
-        state = self.decoder.initial_state()
-        prev_onehot = np.zeros(self.num_devices)
-        placement = [0] * self.problem.graph.num_tasks
-        total_log_prob: Tensor | None = None
+        projected = self.attention.memory_proj(memory)
+        state = self.decoder.initial_state(k)
+        rows = np.arange(k)
+        prev_onehot = np.zeros((k, self.num_devices))
+        placements = np.zeros((k, self.problem.graph.num_tasks), dtype=np.int64)
+        step_log_probs: list[Tensor] = []
         for t, op in enumerate(self.order):
-            step_in = concat([memory[t], Tensor(prev_onehot)], axis=-1)
+            step_in = concat([memory[np.full(k, t)], Tensor(prev_onehot)], axis=-1)
             h, c = self.decoder(step_in, state)
             state = (h, c)
-            context = self.attention(h, memory)
-            logits = self.head(concat([h, context], axis=-1))
-            mask = np.zeros(self.num_devices, dtype=bool)
-            mask[list(self.problem.feasible_sets[op])] = True
-            log_probs = F.masked_log_softmax(logits, mask)
+            context = self.attention(h, memory, projected)
+            logits = F.linear(concat([h, context], axis=-1), self.head.weight, self.head.bias)
+            log_probs = F.masked_log_softmax(logits, np.broadcast_to(self.masks[op], logits.shape))
             probs = np.exp(log_probs.data)
-            probs /= probs.sum()
+            probs /= probs.sum(axis=-1, keepdims=True)
             if greedy:
-                device = int(np.argmax(probs))
+                devices = probs.argmax(axis=-1)
             else:
-                device = int(self.rng.choice(self.num_devices, p=probs))
-            placement[op] = device
-            lp = log_probs[device]
-            total_log_prob = lp if total_log_prob is None else total_log_prob + lp
-            prev_onehot = np.zeros(self.num_devices)
-            prev_onehot[device] = 1.0
-        return tuple(placement), total_log_prob
+                devices = choose_devices(probs, uniforms[:, t])
+            placements[:, op] = devices
+            step_log_probs.append(log_probs[rows, devices])
+            prev_onehot = np.zeros((k, self.num_devices))
+            prev_onehot[rows, devices] = 1.0
+        total_log_probs = stack(step_log_probs, axis=-1).sum(axis=-1)
+        return [tuple(int(d) for d in row) for row in placements], total_log_probs
 
     # -- training -----------------------------------------------------------------
 
+    @traced("baselines.rnn_placer.fit")
     def fit(
         self,
         objective: Objective,
@@ -144,22 +187,17 @@ class RnnPlacer:
         stall = 0
         updates = 0
         for updates in range(1, max_updates + 1):
-            sampled = [self.sample_placement() for _ in range(samples_per_update)]
-            values = [
-                objective.evaluate(self.problem.cost_model, placement)
-                for placement, _ in sampled
-            ]
+            placements, log_probs = self.sample_placement(samples_per_update)
+            values = [objective.evaluate(self.problem.cost_model, p) for p in placements]
             improved = False
-            for (placement, _), value in zip(sampled, values):
+            for placement, value in zip(placements, values):
                 if value < best_value:
                     best_value, best_placement = value, placement
                     improved = True
-            # REINFORCE with the batch mean as baseline: maximize -value.
-            baseline = float(np.mean(values))
-            loss = sum(
-                lp * float(value - baseline)  # -(reward - baseline), reward = -value
-                for (_, lp), value in zip(sampled, values)
-            )
+            # REINFORCE with the batch mean as baseline, maximizing -value:
+            # each sample's weight is -(reward - baseline) = value - mean.
+            advantages = np.asarray(values) - np.mean(values)
+            loss = (log_probs * Tensor(advantages)).sum()
             self.optimizer.zero_grad()
             loss.backward()
             self.optimizer.clip_grad_norm(10.0)
@@ -174,8 +212,8 @@ class RnnPlacer:
     def place(self, greedy: bool = True) -> tuple[int, ...]:
         """Decode a placement without building an autograd graph."""
         with no_grad():
-            placement, _ = self.sample_placement(greedy=greedy)
-        return placement
+            placements, _ = self.sample_placement(1, greedy=greedy)
+        return placements[0]
 
 
 class RnnPlacerPolicy(AdaptivePolicy):

@@ -9,7 +9,7 @@ Public surface:
 * Optimizers: :class:`SGD`, :class:`Adam`.
 * ``functional`` ops incl. graph segment aggregation (sum/mean/max),
   gather/scatter (``gather_rows``, ``scatter_rows``, ``index_add``), the
-  batch-invariant ``linear`` kernel, and masked softmax.
+  batch-invariant ``linear`` and ``einsum`` kernels, and masked softmax.
 """
 
 from . import functional, init

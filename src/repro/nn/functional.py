@@ -18,6 +18,7 @@ __all__ = [
     "log_softmax",
     "masked_log_softmax",
     "linear",
+    "einsum",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -108,6 +109,36 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             bias_t._accumulate(grad if grad.ndim == 1 else grad.sum(axis=0))
 
     return Tensor._make(out_data, parents, backward, "linear")
+
+
+def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand ``np.einsum`` with explicit output (``"ij,j->i"``).
+
+    The batch-invariant kernel of :func:`linear` for contractions it
+    cannot express, such as the recurrent placer's batched attention
+    scores ``"kta,a->kt"``.  Every index of an operand must appear once
+    in it and also in the output or in the other operand, so each
+    gradient is itself one einsum of the incoming gradient with the
+    other operand.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    inputs, _, out = subscripts.partition("->")
+    sa, _, sb = inputs.partition(",")
+    if not out or not sb or "." in subscripts:
+        raise ValueError(f"einsum expects 'ab,bc->ac'-style subscripts, got {subscripts!r}")
+    if len(set(sa)) < len(sa) or len(set(sb)) < len(sb):
+        raise ValueError(f"einsum: an index repeats within one operand in {subscripts!r}")
+    if not set(sa) <= set(out + sb) or not set(sb) <= set(out + sa):
+        raise ValueError(f"einsum: an index summed within one operand in {subscripts!r}")
+    out_data = np.einsum(subscripts, a.data, b.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(np.einsum(f"{out},{sb}->{sa}", grad, b.data))
+        if b.requires_grad:
+            b._accumulate(np.einsum(f"{out},{sa}->{sb}", grad, a.data))
+
+    return Tensor._make(out_data, (a, b), backward, "einsum")
 
 
 def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

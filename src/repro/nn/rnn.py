@@ -3,12 +3,19 @@
 The paper's RNN baseline (Mirhoseini et al., 2018) is a seq2seq model:
 a bi-LSTM encoder over operator embeddings and a unidirectional LSTM
 decoder with additive attention that emits one device per operator.
+
+The cell and the attention accept a batch of rows (a leading ``K`` axis)
+and use the batch-invariant kernels of :mod:`repro.nn.functional`
+(``linear``/``einsum``, not ``@``): row ``i`` of a batched step is
+bit-identical to the same step run on that row alone, which lets the
+placer decode its ``K`` samples together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import functional as F
 from . import init
 from .layers import Linear
 from .module import Module, Parameter
@@ -36,7 +43,7 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        gates = x @ self.w_ih + h_prev @ self.w_hh + self.bias
+        gates = F.linear(x, self.w_ih) + F.linear(h_prev, self.w_hh) + self.bias
         H = self.hidden_size
         i = gates[..., 0:H].sigmoid()
         f = gates[..., H : 2 * H].sigmoid()
@@ -94,10 +101,18 @@ class AdditiveAttention(Module):
         self.memory_proj = Linear(memory_size, attn_size, rng, bias=False)
         self.v = Parameter(init.glorot_uniform(rng, attn_size, 1).ravel())
 
-    def forward(self, query: Tensor, memory: Tensor) -> Tensor:
-        """Return the context vector for ``query`` over ``memory`` (T, mem)."""
-        from .functional import softmax
+    def forward(self, query: Tensor, memory: Tensor, projected: Tensor | None = None) -> Tensor:
+        """Context for ``query`` (q,) or a batch of queries (K, q) over ``memory`` (T, mem).
 
-        scores = (self.memory_proj(memory) + self.query_proj(query)).tanh() @ self.v
-        weights = softmax(scores, axis=-1)  # (T,)
-        return weights @ memory  # (mem,)
+        ``projected`` is ``memory_proj(memory)``; a decoder attending to
+        one memory at every step passes it to project the memory once.
+        """
+        if projected is None:
+            projected = self.memory_proj(memory)
+        q = F.linear(query, self.query_proj.weight)  # (A,) | (K, A)
+        if q.ndim == 2:
+            q = q.reshape(q.shape[0], 1, q.shape[1])  # broadcast over T
+        energy = (projected + q).tanh()  # (T, A) | (K, T, A)
+        scores = F.einsum("ta,a->t" if energy.ndim == 2 else "kta,a->kt", energy, self.v)
+        weights = F.softmax(scores, axis=-1)  # (T,) | (K, T)
+        return F.linear(weights, memory)  # (mem,) | (K, mem)

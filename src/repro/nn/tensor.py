@@ -154,25 +154,8 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
 
-        # Topological ordering of the subgraph reachable from self.
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
         self._accumulate(grad)
-        for node in reversed(topo):
+        for node in reversed(_topo_order(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -357,6 +340,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
+            if a.ndim > 2 or b.ndim > 2:
+                _batched_matmul_backward(self, other, grad)
+                return
             # Four cases by operand dimensionality (1D vectors vs 2D matrices).
             if self.requires_grad:
                 if a.ndim == 1 and b.ndim == 1:
@@ -424,6 +410,53 @@ class Tensor:
                 self._accumulate(grad / self.data)
 
         return Tensor._make(out_data, (self,), backward, "log")
+
+
+def _batched_matmul_backward(a: Tensor, b: Tensor, grad: np.ndarray) -> None:
+    """Gradients of ``a @ b`` when either operand has batch axes (ndim > 2).
+
+    Vector operands are promoted to matrices the way ``np.matmul`` does
+    (a leading / trailing unit axis), and each gradient is summed over
+    the batch axes its operand was broadcast along.
+    """
+    ad = a.data[None, :] if a.ndim == 1 else a.data
+    bd = b.data[:, None] if b.ndim == 1 else b.data
+    if a.ndim == 1:
+        grad = np.expand_dims(grad, -2)
+    if b.ndim == 1:
+        grad = np.expand_dims(grad, -1)
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(grad @ np.swapaxes(bd, -1, -2), ad.shape).reshape(a.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ grad, bd.shape).reshape(b.shape))
+
+
+def _topo_order(root: Tensor) -> list[Tensor]:
+    """Post-order of the grad-requiring subgraph reachable from ``root``.
+
+    Depth-first, descending into a node's parents last-to-first; each
+    node is pushed once, with an iterator over its remaining parents.
+    Gradient accumulation order follows this order, so it must not
+    change (``tests/nn/test_tensor.py`` pins it against the reference
+    two-push traversal).  Tensors hash by identity (no ``__eq__``), so
+    the visited set holds the nodes themselves.
+    """
+    topo: list[Tensor] = []
+    visited = {root}
+    stack = [(root, reversed(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if parent.requires_grad and parent not in visited:
+                visited.add(parent)
+                if parent._parents:
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+                topo.append(parent)
+        else:
+            stack.pop()
+            topo.append(node)
+    return topo
 
 
 def as_tensor(value) -> Tensor:

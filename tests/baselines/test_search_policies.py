@@ -146,9 +146,11 @@ class TestRnnPlacer:
 
     def test_sampled_placement_feasible(self, diamond_problem):
         placer = RnnPlacer(diamond_problem, rng(15))
-        placement, log_prob = placer.sample_placement()
-        diamond_problem.validate_placement(placement)
-        assert np.isfinite(log_prob.data)
+        placements, log_probs = placer.sample_placement(4)
+        assert len(placements) == 4 and log_probs.shape == (4,)
+        for placement, log_prob in zip(placements, log_probs.data):
+            diamond_problem.validate_placement(placement)
+            assert np.isfinite(log_prob) and log_prob <= 0.0
 
     def test_fit_improves_or_holds(self, diamond_problem):
         placer = RnnPlacer(diamond_problem, rng(16))

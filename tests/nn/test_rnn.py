@@ -1,4 +1,10 @@
-"""LSTM / BiLSTM / attention tests."""
+"""LSTM / BiLSTM / attention tests.
+
+The cell and the attention also get row-invariance pins, like
+``F.linear`` in ``tests/nn/test_segment_ops.py``: the RNN placer decodes
+its K samples as K rows of one batch and relies on each row being
+bit-identical to decoding it alone.
+"""
 
 import numpy as np
 
@@ -23,6 +29,21 @@ class TestLSTMCell:
     def test_forget_bias_initialized(self):
         cell = LSTMCell(2, 3, rng())
         np.testing.assert_allclose(cell.bias.data[3:6], 1.0)
+
+    def test_row_invariance_bitwise(self):
+        r = np.random.default_rng(8)
+        for trial in range(10):
+            n, k, hidden = int(r.integers(1, 9)), int(r.integers(1, 30)), int(r.integers(1, 20))
+            cell = LSTMCell(k, hidden, r)
+            x, h0, c0 = r.normal(size=(n, k)), r.normal(size=(n, hidden)), r.normal(size=(n, hidden))
+            h, c = cell(Tensor(x), (Tensor(h0), Tensor(c0)))
+            i = int(r.integers(0, n))
+            h_row, c_row = cell(Tensor(x[i]), (Tensor(h0[i]), Tensor(c0[i])))
+            assert np.array_equal(h.data[i], h_row.data)
+            assert np.array_equal(c.data[i], c_row.data)
+            lo, hi = sorted(r.integers(0, n + 1, size=2))
+            h_part, _ = cell(Tensor(x[lo:hi]), (Tensor(h0[lo:hi]), Tensor(c0[lo:hi])))
+            assert np.array_equal(h.data[lo:hi], h_part.data)
 
     def test_gradients_reach_input_weights(self):
         cell = LSTMCell(2, 3, rng())
@@ -106,3 +127,35 @@ class TestAttention:
             loss.backward()
             opt.step()
         assert loss.item() < 0.05
+
+    def test_batched_queries(self):
+        attn = AdditiveAttention(4, 6, 5, rng())
+        ctx = attn(Tensor(np.ones((3, 4))), Tensor(np.ones((7, 6))))
+        assert ctx.shape == (3, 6)
+
+    def test_row_invariance_bitwise(self):
+        r = np.random.default_rng(9)
+        for trial in range(10):
+            n, steps = int(r.integers(1, 9)), int(r.integers(1, 25))
+            q, mem, size = (int(d) for d in r.integers(1, 20, size=3))
+            attn = AdditiveAttention(q, mem, size, r)
+            queries, memory = Tensor(r.normal(size=(n, q))), Tensor(r.normal(size=(steps, mem)))
+            projected = attn.memory_proj(memory)
+            batch = attn(queries, memory, projected).data
+            i = int(r.integers(0, n))
+            assert np.array_equal(batch[i], attn(queries[i], memory).data)
+            lo, hi = sorted(r.integers(0, n + 1, size=2))
+            assert np.array_equal(batch[lo:hi], attn(queries[lo:hi], memory).data)
+
+    def test_batched_grads_match_single_rows(self):
+        r = np.random.default_rng(10)
+        attn = AdditiveAttention(3, 4, 5, r)
+        queries, memory = r.normal(size=(4, 3)), r.normal(size=(6, 4))
+        mem_batch = Tensor(memory.copy(), requires_grad=True)
+        (attn(Tensor(queries), mem_batch) ** 2).sum().backward()
+        v_batch = attn.v.grad.copy()
+        attn.zero_grad()
+        mem_rows = Tensor(memory.copy(), requires_grad=True)
+        sum((attn(Tensor(row), mem_rows) ** 2).sum() for row in queries).backward()
+        np.testing.assert_allclose(mem_batch.grad, mem_rows.grad, rtol=1e-12)
+        np.testing.assert_allclose(v_batch, attn.v.grad, rtol=1e-12)

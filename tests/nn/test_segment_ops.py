@@ -113,6 +113,40 @@ class TestLinear:
             F.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
+class TestEinsum:
+    @pytest.mark.parametrize(
+        "subscripts,ashape,bshape",
+        [("kta,a->kt", (2, 3, 4), (4,)), ("ta,a->t", (3, 4), (4,)), ("kt,tm->km", (2, 3), (3, 5))],
+    )
+    def test_grads(self, subscripts, ashape, bshape):
+        rng = np.random.default_rng(11)
+        a0, b0 = rng.normal(size=ashape), rng.normal(size=bshape)
+        check_grad(lambda t: (F.einsum(subscripts, t, Tensor(b0)) ** 2).sum(), a0)
+        check_grad(lambda t: (F.einsum(subscripts, Tensor(a0), t) ** 2).sum(), b0)
+
+    def test_forward_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=4)
+        assert np.array_equal(F.einsum("kta,a->kt", Tensor(a), Tensor(b)).data, np.einsum("kta,a->kt", a, b))
+
+    def test_row_invariance_bitwise(self):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            k, t, a = (int(d) for d in rng.integers(1, 30, size=3))
+            energy, v = rng.normal(size=(k, t, a)), rng.normal(size=a)
+            full = F.einsum("kta,a->kt", Tensor(energy), Tensor(v)).data
+            i = int(rng.integers(0, k))
+            assert np.array_equal(full[i], F.einsum("ta,a->t", Tensor(energy[i]), Tensor(v)).data)
+
+    @pytest.mark.parametrize(
+        "subscripts,bshape",
+        [("ij,j", (2,)), ("...j,j->...", (2,)), ("ij,jk->i", (2, 2)), ("ii,i->i", (2,))],
+    )
+    def test_rejects_unsupported_subscripts(self, subscripts, bshape):
+        with pytest.raises(ValueError, match="einsum"):
+            F.einsum(subscripts, Tensor(np.ones((2, 2))), Tensor(np.ones(bshape)))
+
+
 class TestSegmentSum:
     def test_forward(self):
         vals = np.arange(14, dtype=np.float64).reshape(7, 2)

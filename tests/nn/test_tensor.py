@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Tensor, concat, no_grad, stack
 from repro.nn import functional as F
+from repro.nn.tensor import _topo_order
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -85,6 +88,33 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, nb, atol=1e-5)
 
 
+    @pytest.mark.parametrize(
+        "ashape,bshape",
+        [
+            ((2, 3, 4), (4,)),
+            ((2, 3, 4), (4, 5)),
+            ((4,), (2, 4, 5)),
+            ((3, 4), (2, 4, 5)),
+            ((2, 3, 4), (2, 4, 5)),
+            ((2, 1, 3, 4), (5, 4, 2)),
+        ],
+    )
+    def test_batched_matmul_grad(self, ashape, bshape):
+        """Batch axes broadcast in the forward; the backward sums them out."""
+        rng = np.random.default_rng(5)
+        a0, b0 = rng.normal(size=ashape), rng.normal(size=bshape)
+        weights = rng.normal(size=(a0 @ b0).shape)
+
+        a = Tensor(a0.copy(), requires_grad=True)
+        b = Tensor(b0.copy(), requires_grad=True)
+        ((a @ b) * weights).sum().backward()
+
+        na = numeric_grad(lambda arr: float(((arr @ b0) * weights).sum()), a0.copy())
+        nb = numeric_grad(lambda arr: float(((a0 @ arr) * weights).sum()), b0.copy())
+        np.testing.assert_allclose(a.grad, na, atol=1e-5)
+        np.testing.assert_allclose(b.grad, nb, atol=1e-5)
+
+
 class TestReductionsAndShape:
     def test_sum_axis_keepdims(self):
         x = np.random.default_rng(5).normal(size=(2, 3, 4))
@@ -151,6 +181,65 @@ class TestCombinators:
         y = x * 3.0
         (y + y).backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+
+def _two_push_order(root: Tensor) -> list[Tensor]:
+    """The reference traversal: push ``(node, processed)`` twice per node."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    pending: list[tuple[Tensor, bool]] = [(root, False)]
+    while pending:
+        node, processed = pending.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        pending.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                pending.append((parent, False))
+    return topo
+
+
+def _random_graph(seed: int, leaves: int, ops: int) -> Tensor:
+    """A random DAG over (3,) tensors with shared nodes, duplicate
+    parents and non-grad leaves mixed in."""
+    draw = np.random.default_rng(seed)
+    nodes = [
+        Tensor(draw.normal(size=3), requires_grad=bool(i == 0 or draw.random() < 0.7))
+        for i in range(leaves)
+    ]
+    for _ in range(ops):
+        pick = [nodes[int(i)] for i in draw.integers(0, len(nodes), size=3)]
+        kind = int(draw.integers(0, 5))
+        if kind == 0:
+            out = pick[0] + pick[1]
+        elif kind == 1:
+            out = pick[0] * pick[1]
+        elif kind == 2:
+            out = pick[0].tanh()
+        elif kind == 3:
+            out = stack([pick[0], pick[1], pick[0], pick[2]]).sum(axis=0)
+        else:
+            out = concat([pick[2], pick[1]])[1:4]
+        nodes.append(out)
+    return sum(nodes[leaves:], nodes[0]).sum()
+
+
+class TestBackwardOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(1, 6), ops=st.integers(0, 40))
+    def test_order_matches_two_push_reference(self, seed, leaves, ops):
+        root = _random_graph(seed, leaves, ops)
+        assert [id(n) for n in _topo_order(root)] == [id(n) for n in _two_push_order(root)]
+
+    def test_leaf_root(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert _topo_order(x) == [x]
+        x.backward(np.full(2, 3.0))
+        np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
 
 class TestMode:
